@@ -13,10 +13,13 @@ This module provides:
 * :class:`PossessionIndex` — the "who possesses what" relation ``B(·)``,
   combining the static allocation with playback caches and relay caches;
 * :class:`ConnectionMatcher` — builds the bipartite graph ``G`` from ``Y``
-  to the boxes and solves the connection matching through max flow;
+  to the boxes as CSR arrays and solves the connection matching with the
+  capacitated Hopcroft–Karp kernel, or, between consecutive rounds, by
+  repairing the previous round's matching (see :meth:`ConnectionMatcher.match`);
+  the max-flow solvers remain selectable as oracles;
 * :func:`check_feasibility_hall` — the direct (exponential) form of
   Lemma 1's condition ``∀X ⊆ Y : U_{B(X)} ≥ |X|/c``, used on small
-  instances to validate the flow-based answer.
+  instances to validate the matcher's answer.
 """
 
 from __future__ import annotations
@@ -924,50 +927,6 @@ class PossessionIndex:
         indices = np.concatenate(rows) if rows else _EMPTY_INT64
         return indptr, indices
 
-    def row_with_expiry(
-        self,
-        stripe_id: int,
-        box_id: int,
-        request_time: int,
-        current_time: int,
-        exclude_self: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One request's candidate boxes plus per-edge expiry rounds.
-
-        The lazily materialized row the incremental repair augments
-        through: parallel int64 arrays of candidate boxes and the last
-        round each edge stays valid (:data:`NEVER_EXPIRES` for static
-        and relay edges, ``entry_time + T`` for playback-cache edges).
-        """
-        stripe_id = int(stripe_id)
-        static = self.static_servers(stripe_id)
-        parts = [static]
-        exp_parts = [np.full(static.size, NEVER_EXPIRES, dtype=np.int64)]
-        cache_boxes, cache_times = self._cache_slice(
-            stripe_id, request_time, current_time
-        )
-        if cache_boxes.size:
-            parts.append(cache_boxes)
-            exp_parts.append(cache_times + self._window)
-        if self._relays:
-            relay = self._relay_array(stripe_id)
-            if relay.size:
-                parts.append(relay)
-                exp_parts.append(
-                    np.full(relay.size, NEVER_EXPIRES, dtype=np.int64)
-                )
-        if len(parts) == 1:
-            boxes_arr, expiry_arr = parts[0], exp_parts[0]
-        else:
-            boxes_arr = np.concatenate(parts)
-            expiry_arr = np.concatenate(exp_parts)
-        if exclude_self:
-            mask = boxes_arr != box_id
-            if not mask.all():
-                boxes_arr = boxes_arr[mask]
-                expiry_arr = expiry_arr[mask]
-        return boxes_arr, expiry_arr
-
     def adjacency_delta_for(
         self,
         requests: Sequence[StripeRequest],
@@ -981,12 +940,13 @@ class PossessionIndex:
         The incremental round path never re-gathers the full instance:
         pairs carried over from the previous round's CSR stay valid until
         their recorded expiry, so only the *delta rows* (arrivals plus
-        requests whose pair was retired) need fresh adjacency.  ``rows``
-        selects those request indices (``None`` = all of them); the result
-        is ``(indptr, indices, expiry)`` over ``len(rows)`` rows, where
-        ``expiry[e]`` is the last round edge ``e`` remains valid
-        (:data:`NEVER_EXPIRES` for static/relay edges, ``entry_time + T``
-        for playback-cache edges).
+        requests whose pair was retired) need fresh adjacency, and the
+        repair's exact search fetches the rows it discovers a chunk at a
+        time.  ``rows`` selects those request indices (``None`` = all of
+        them); the result is ``(indptr, indices, expiry)`` over
+        ``len(rows)`` rows, where ``expiry[e]`` is the last round edge
+        ``e`` remains valid (:data:`NEVER_EXPIRES` for static/relay edges,
+        ``entry_time + T`` for playback-cache edges).
 
         ``max_cache_edges`` clips every row's playback-cache block to its
         *newest* that-many entries (popular stripes accumulate thousands
@@ -1585,6 +1545,21 @@ class ConnectionMatcher:
         if not deficit.size:
             return assignment, pair_expiry
 
+        # Object-path request sets become arrays once: every adjacency
+        # gather below would otherwise rebuild them from the objects.
+        if not isinstance(requests, ArrayRequestSet):
+            requests = ArrayRequestSet(
+                np.fromiter(
+                    (r.stripe_id for r in requests), dtype=np.int64, count=num_requests
+                ),
+                np.fromiter(
+                    (r.request_time for r in requests), dtype=np.int64,
+                    count=num_requests,
+                ),
+                np.fromiter(
+                    (r.box_id for r in requests), dtype=np.int64, count=num_requests
+                ),
+            )
         # Fresh adjacency for the delta rows only, then a vectorized
         # multi-pass greedy against the residual capacities.  The cache
         # blocks are clipped (greedy is a heuristic filler — leftovers go
@@ -1662,44 +1637,20 @@ class ConnectionMatcher:
                 f"with a deficit of {remaining.size}"
             )
 
-        # Exhaustive augmentation for the stragglers, over lazily
-        # materialized rows.  Each flipped pair records its edge expiry.
-        if isinstance(requests, ArrayRequestSet):
-            stripes = requests.stripe_id_array
-            boxes = requests.box_id_array
-            times = requests.request_time_array
-        else:
-            stripes = np.fromiter(
-                (r.stripe_id for r in requests), dtype=np.int64, count=num_requests
-            )
-            boxes = np.fromiter(
-                (r.box_id for r in requests), dtype=np.int64, count=num_requests
-            )
-            times = np.fromiter(
-                (r.request_time for r in requests), dtype=np.int64,
-                count=num_requests,
-            )
-        row_cache: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
-
-        def get_row(i: int) -> Tuple[np.ndarray, List[int], List[int]]:
-            row = row_cache.get(i)
-            if row is None:
-                arr, exp = possession.row_with_expiry(
-                    int(stripes[i]), int(boxes[i]), int(times[i]), current_time
-                )
-                row = row_cache[i] = (arr, arr.tolist(), exp.tolist())
-            return row
+        # Exact level-batched augmentation for the stragglers, over full
+        # (unclipped) rows fetched only for the lefts the searches reach.
+        # Each flipped pair records its edge expiry.
+        def fetch_rows(rows: np.ndarray):
+            return possession.adjacency_delta_for(requests, current_time, rows=rows)
 
         load = capacities - residual
         complete = repair_matching(
-            num_requests,
-            n,
-            get_row,
+            fetch_rows,
             capacities,
             assignment,
             load,
             pair_expiry,
-            remaining.tolist(),
+            remaining,
             search_budget=budget,
         )
         if not complete:

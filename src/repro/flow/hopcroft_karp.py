@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -551,100 +552,159 @@ def hopcroft_karp_matching(
 # ---------------------------------------------------------------------- #
 # Incremental repair
 # ---------------------------------------------------------------------- #
+class _DeferredRightMatches:
+    """The repair's right-match index, built when a search first needs it.
+
+    Most repair searches succeed at their root, which only appends one
+    pair; sorting every matched pair into a :class:`_LazyRightMatches` for
+    that is wasted.  Root appends are logged until :meth:`index` is first
+    called, then replayed after the pairs matched at construction time —
+    the exact per-box order an index built up front would hold.
+    """
+
+    __slots__ = ("_num_right", "_assignment", "_appends", "_index")
+
+    def __init__(self, num_right: int, assignment: np.ndarray):
+        self._num_right = num_right
+        self._assignment = assignment
+        self._appends: List[Tuple[int, int]] = []
+        self._index: Optional[_LazyRightMatches] = None
+
+    def append(self, j: int, i: int) -> None:
+        """Record that left ``i`` was newly matched to right ``j``."""
+        if self._index is None:
+            self._appends.append((i, j))
+        else:
+            self._index[j].append(i)
+
+    def index(self) -> _LazyRightMatches:
+        """The per-right matched-left lists, built on the first call."""
+        if self._index is None:
+            matched = self._assignment >= 0
+            if self._appends:
+                matched[[i for i, _ in self._appends]] = False
+            matched_i = np.flatnonzero(matched)
+            self._index = _LazyRightMatches(
+                self._num_right, matched_i, self._assignment[matched_i], self._appends
+            )
+        return self._index
+
+
 def _kuhn_augment_lazy(
-    i0: int, get_row, cap, load, has_free, match_left, right_matches,
+    i0: int, root_boxes: np.ndarray, root_expiry: np.ndarray, fetch_rows,
+    cap, load, has_free, match_left, right_matches: _DeferredRightMatches,
     pair_expiry, budget: List[int],
 ) -> Optional[bool]:
-    """One shortest-augmenting-path search over lazily materialized rows.
+    """One shortest-augmenting-path search from deficit row ``i0``.
 
-    Plays the role of :func:`_kuhn_augment` in the incremental repair,
-    but rows are fetched on demand through ``get_row(i) -> (boxes_array,
-    boxes_list, expiry_list)`` instead of a global CSR, so a repair
-    touches only the adjacency of the lefts an actual alternating path
-    visits.  On success the flipped pairs' expiries are written into
-    ``pair_expiry`` so the caller's retirement bookkeeping stays exact.
-
-    The search is breadth-first: each discovered left first sweeps its
-    whole row for a box with spare capacity (one vectorized gather of
-    the ``has_free`` mask, which the augment step keeps in sync with
-    ``load``), and only the fully saturated boxes contribute displaced
-    lefts to the frontier.  Under Zipf load the saturated boxes
+    Breadth-first over alternating paths, level by level: each discovered
+    left is tested for a box with spare capacity (``has_free``, kept in
+    sync with ``load``), and only saturated boxes contribute displaced
+    lefts to the next level.  Under Zipf load the saturated boxes
     cluster, so a depth-first search would plunge through thousands of
     full boxes while a length-3 path (row → full box → displaced left →
-    free box) sits one level away; BFS finds it after a handful of row
-    scans.  The free-slot test runs at discovery, not at dequeue: the
-    last BFS level is by far the widest (popular rows reach thousands
-    of displaced lefts), and testing on generation means it is never
-    materialized.
+    free box) sits one level away.  The free-slot test runs at discovery,
+    not at expansion: the last level is by far the widest, and testing on
+    generation means it is never expanded.
 
-    ``budget[0]`` is decremented per discovered left; hitting zero
-    aborts with ``None`` (caller falls back to the full kernel) so one
-    pathological round cannot cost more than a cold solve.
+    Rows are fetched through ``fetch_rows(rows) -> (indptr, indices,
+    expiry)`` only for discovered lefts, in chunks that double in size
+    within the search (a chunk never spans two levels: the next level is
+    only known once this one's rows are in).  One ``has_free`` gather per
+    chunk finds the first discovered left with a free box, at its first
+    free edge — the same left and edge a one-row-at-a-time search would
+    stop at.  On success the flipped pairs' expiries are written into
+    ``pair_expiry`` so the caller's retirement bookkeeping stays exact.
+
+    ``budget[0]`` is decremented per discovered left (never for the
+    root), exactly as far as the search got; a discovery with the budget
+    at zero aborts with ``None`` (caller falls back to the full kernel)
+    so one pathological round cannot cost more than a cold solve.
     """
     # Per discovered left: (predecessor left, box the predecessor reaches
     # it through, expiry of that predecessor edge); ``None`` at the root.
     parent: dict = {i0: None}
 
-    def try_free(u, boxes_arr, boxes, exps):
-        # Sweep ``u``'s row for a box with spare capacity; on a hit,
-        # augment: ``u`` takes the free slot, every predecessor takes
-        # over the slot its displaced left vacates.
-        if not boxes_arr.size:
-            return False
-        mask = has_free[boxes_arr]
-        e = int(np.argmax(mask))
-        if not mask[e]:
-            return False
-        j = boxes[e]
-        right_matches[j].append(u)
+    def augment(u: int, j: int, x: int) -> None:
+        # ``u`` takes the free slot on ``j``; every predecessor takes over
+        # the slot its displaced left vacates (box loads unchanged).
+        right_matches.append(j, u)
         load[j] += 1
         if load[j] >= cap[j]:
             has_free[j] = False
         match_left[u] = j
-        pair_expiry[u] = exps[e]
+        pair_expiry[u] = x
         cur = u
         link = parent[cur]
         while link is not None:
-            p, b, x = link
-            siblings = right_matches[b]
+            p, b, xb = link
+            siblings = right_matches.index()[b]
             siblings[siblings.index(cur)] = p
             match_left[p] = b
-            pair_expiry[p] = x
+            pair_expiry[p] = xb
             cur = p
             link = parent[cur]
-        return True
 
-    arr0, row0, exp0 = get_row(i0)
-    if try_free(i0, arr0, row0, exp0):
-        return True
+    if root_boxes.size:
+        free = has_free[root_boxes]
+        e = int(np.argmax(free))
+        if free[e]:
+            augment(i0, int(root_boxes[e]), int(root_expiry[e]))
+            return True
+    index = right_matches.index()
     visited = set()
-    frontier = deque(((i0, row0, exp0),))
-    while frontier:
-        u, boxes, exps = frontier.popleft()
-        for e in range(len(boxes)):
-            j = boxes[e]
-            if j in visited:
-                continue
-            visited.add(j)
-            x = exps[e]
-            for k in right_matches[j]:
-                if k in parent:
+
+    def discover(level):
+        # Lefts displaced from the level's saturated boxes, in the order a
+        # FIFO frontier reaches them: frontier, edges, unvisited boxes,
+        # matched lefts.
+        for u, boxes, exps in level:
+            for e, j in enumerate(boxes):
+                if j in visited:
                     continue
-                if budget[0] <= 0:
+                visited.add(j)
+                for k in index[j]:
+                    if k not in parent:
+                        parent[k] = (u, j, exps[e])
+                        yield k
+
+    level = [(i0, root_boxes.tolist(), root_expiry.tolist())]
+    chunk = 1
+    while level:
+        found = discover(level)
+        level = []
+        while True:
+            if budget[0] <= 0:
+                if next(found, None) is not None:
                     return None
-                budget[0] -= 1
-                parent[k] = (u, j, x)
-                ak, bk, xk = get_row(k)
-                if try_free(k, ak, bk, xk):
-                    return True
-                frontier.append((k, bk, xk))
+                break
+            want = min(chunk, budget[0])
+            batch = list(islice(found, want))
+            if not batch:
+                break
+            chunk *= 2
+            indptr, indices, expiry = fetch_rows(np.asarray(batch, dtype=np.int64))
+            free_edges = np.flatnonzero(has_free[indices])
+            if free_edges.size:
+                e = int(free_edges[0])
+                r = int(np.searchsorted(indptr, e, side="right")) - 1
+                budget[0] -= r + 1
+                augment(batch[r], int(indices[e]), int(expiry[e]))
+                return True
+            budget[0] -= len(batch)
+            bounds = indptr.tolist()
+            boxes_all = indices.tolist()
+            exps_all = expiry.tolist()
+            for r, k in enumerate(batch):
+                lo, hi = bounds[r], bounds[r + 1]
+                level.append((k, boxes_all[lo:hi], exps_all[lo:hi]))
+            if len(batch) < want:
+                break
     return False
 
 
 def repair_matching(
-    num_left: int,
-    num_right: int,
-    get_row,
+    fetch_rows,
     right_capacities: np.ndarray,
     assignment: np.ndarray,
     load: np.ndarray,
@@ -657,9 +717,13 @@ def repair_matching(
     The resumable entry point of the incremental round path: ``assignment``
     (and the matching ``load``/``pair_expiry`` arrays) hold the survivors
     of the previous round after delta retirement, and ``deficit_rows`` the
-    lefts still unmatched.  Each deficit row gets one exhaustive Kuhn
-    search through ``get_row`` (lazily materialized adjacency); all three
-    arrays are mutated in place.
+    distinct lefts still unmatched.  Each deficit row, in order, gets one
+    exhaustive level-batched search (:func:`_kuhn_augment_lazy`); all
+    three arrays are mutated in place.  ``fetch_rows(rows)`` returns the
+    complete adjacency of the given lefts as ``(indptr, indices, expiry)``
+    CSR arrays, ``expiry[e]`` being the last round edge ``e`` is valid;
+    it is called once for all deficit rows and once per search chunk, so
+    a repair touches only the adjacency its searches actually visit.
 
     Returns ``True`` when every deficit row was matched — the matching is
     then perfect, hence maximum.  Returns ``False`` (without finishing)
@@ -668,21 +732,24 @@ def repair_matching(
     caller falls back to the full kernel, which also produces the Hall
     witness on genuinely infeasible rounds.
     """
-    deficit_rows = list(deficit_rows)
-    if search_budget is not None and len(deficit_rows) > search_budget:
+    rows = np.asarray(deficit_rows, dtype=np.int64).reshape(-1)
+    if search_budget is not None and rows.size > search_budget:
         return False
-    matched_i = np.flatnonzero(assignment >= 0)
-    right_matches = _LazyRightMatches(
-        num_right, matched_i, assignment[matched_i], []
-    )
+    if rows.size and (
+        (assignment[rows] >= 0).any() or np.unique(rows).size != rows.size
+    ):
+        raise ValueError("deficit_rows must be distinct unmatched lefts")
+    right_matches = _DeferredRightMatches(right_capacities.size, assignment)
     has_free = load < right_capacities
     # Shared across the round's searches: bounds the total displacement
     # work at roughly the cost of one cold solve, whatever the instance.
-    budget = [max(100_000, 16 * len(deficit_rows))]
-    for i in deficit_rows:
+    budget = [max(100_000, 16 * rows.size)]
+    indptr, indices, expiry = fetch_rows(rows)
+    for r, i in enumerate(rows.tolist()):
+        lo, hi = indptr[r], indptr[r + 1]
         if not _kuhn_augment_lazy(
-            int(i), get_row, right_capacities, load, has_free, assignment,
-            right_matches, pair_expiry, budget,
+            i, indices[lo:hi], expiry[lo:hi], fetch_rows, right_capacities,
+            load, has_free, assignment, right_matches, pair_expiry, budget,
         ):
             return False
     return True

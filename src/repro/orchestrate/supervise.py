@@ -149,17 +149,38 @@ def run_supervised(
         _kill_workers(executor)
         executor = ProcessPoolExecutor(max_workers=max_workers)
 
+    def _requeue_in_flight_and_rebuild() -> None:
+        # Cells in flight when the pool broke cannot be blamed either:
+        # they requeue uncharged as suspects.
+        for item in in_flight.values():
+            suspects.add(item.index)
+            queue.appendleft(item)
+        in_flight.clear()
+        deadlines.clear()
+        _rebuild_pool()
+
     try:
         while queue or in_flight:
             # Isolation mode: while any crash suspect is unresolved, run
             # one cell at a time so the next crash is attributable.
             limit = 1 if suspects else max_workers
+            submit_broke = False
             while queue and len(in_flight) < limit:
                 item = queue.popleft()
-                future = executor.submit(worker, item.payload)
+                try:
+                    future = executor.submit(worker, item.payload)
+                except BrokenProcessPool:
+                    # A worker died while the pool was still being filled.
+                    # This cell never ran: it requeues uncharged.
+                    queue.appendleft(item)
+                    submit_broke = True
+                    break
                 in_flight[future] = item
                 if policy.cell_timeout is not None:
                     deadlines[future] = time.monotonic() + policy.cell_timeout
+            if submit_broke:
+                _requeue_in_flight_and_rebuild()
+                continue
 
             timeout = None
             if deadlines:
@@ -209,12 +230,7 @@ def run_supervised(
                     for item in broken_items:
                         suspects.add(item.index)
                         queue.appendleft(item)
-                for future, item in list(in_flight.items()):
-                    suspects.add(item.index)
-                    queue.appendleft(item)
-                in_flight.clear()
-                deadlines.clear()
-                _rebuild_pool()
+                _requeue_in_flight_and_rebuild()
     finally:
         _kill_workers(executor)
     return results, quarantined

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.faults.process import (
     parse_fault_env,
 )
 from repro.orchestrate import get_campaign
+from repro.orchestrate import supervise
 from repro.orchestrate.runner import run_campaign
 from repro.orchestrate.store import ResultsStore
 from repro.orchestrate.supervise import (
@@ -136,6 +139,50 @@ class TestRunSupervised:
         assert isinstance(quarantined[0], QuarantinedCell)
         assert quarantined[0].attempts == 2
         assert "ValueError" in quarantined[0].reason
+
+    def test_pool_broken_at_submit_requeues_uncharged(self, monkeypatch):
+        """A worker dying while the pool fills makes ``submit`` raise.
+
+        A stand-in pool runs cells in-process and fails its second
+        ``submit`` with ``BrokenProcessPool``.  With no retries allowed,
+        any charge would quarantine a cell: the un-submitted cell must
+        requeue uncharged, the one in flight must rerun as a suspect, and
+        the pool must be rebuilt once.
+        """
+        submitted = []
+        pools = []
+
+        class SubmitBreaksOnce:
+            def __init__(self, max_workers):
+                pools.append(self)
+
+            def submit(self, fn, payload):
+                submitted.append(payload)
+                if len(submitted) == 2:
+                    raise BrokenProcessPool("a worker died while the pool was filling")
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(supervise, "ProcessPoolExecutor", SubmitBreaksOnce)
+        delivered = []
+        results, quarantined = run_supervised(
+            [0, 1, 2, 3, 4],
+            worker=_double,
+            max_workers=3,
+            policy=SupervisionPolicy(max_retries=0, backoff_base=0.0),
+            on_complete=lambda index, result: delivered.append(index),
+        )
+        assert results == [0, 2, 4, 6, 8]
+        assert quarantined == []
+        assert sorted(delivered) == [0, 1, 2, 3, 4]
+        assert len(pools) == 2
+        # Cell 0 ran before the break and reran as a suspect; cell 1 was
+        # refused once and submitted again.
+        assert submitted == [0, 1, 0, 1, 2, 3, 4]
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="max_workers"):
