@@ -99,10 +99,6 @@ class RoundReport:
     #: the round fell back to the full matching kernel, 0 otherwise.
     #: Serialized only when set (same digest-stability rule as ``degraded``).
     repair_fallback: int = 0
-    #: Shard worker processes the sharded engine rebuilt from checkpoint
-    #: during this round (always 0 single-process).  Serialized only when
-    #: set (same digest-stability rule as ``degraded``).
-    shard_restarts: int = 0
     #: Per-request latency percentiles of this round, reported only by the
     #: event-driven engine (:mod:`repro.events`): the continuous time from
     #: a demand's arrival to its admission boundary, and from arrival to
@@ -126,7 +122,7 @@ class RoundReport:
         payload = self.to_round_stats().to_dict()
         for name in _SESSION_ONLY_FIELDS:
             payload[name] = int(getattr(self, name))
-        for flag in ("degraded", "repair_fallback", "shard_restarts"):
+        for flag in ("degraded", "repair_fallback"):
             if not payload[flag]:
                 # Only rounds that tripped the flag serialize it: digests of
                 # fault-free runs are byte-identical to earlier recordings.
@@ -560,7 +556,6 @@ class VodSession:
             offline_boxes=len(engine.offline_boxes(time)),
             degraded=int(engine.last_round_degraded),
             repair_fallback=int(getattr(engine, "last_round_repair_fallback", False)),
-            shard_restarts=int(getattr(engine, "last_round_shard_restarts", 0)),
             **{
                 name: getattr(engine, f"last_round_{name}", None)
                 for name in _LATENCY_FIELDS

@@ -222,10 +222,6 @@ class VodSystem:
         solver: str = "hopcroft_karp",
         round_observer=None,
         trace_level: str = "full",
-        n_shards: Optional[int] = None,
-        shard_host: str = "process",
-        shard_random_state=None,
-        shard_checkpoint_every: int = 8,
         engine: str = "round",
         event_random_state=None,
     ) -> VodSimulator:
@@ -237,12 +233,6 @@ class VodSystem:
         ready component, or ``None`` for the paper's preloading strategy;
         ``solver`` any registered solver name — including names registered
         by the caller, whose factories are invoked to build the matcher.
-
-        Passing ``n_shards`` returns the sharded multi-process engine
-        (:class:`~repro.shard.ShardedVodSimulator`): the box space is
-        partitioned across that many worker shards (``shard_host``
-        ``"process"`` or ``"inline"``), digest-identical to the
-        single-process engine on the same inputs.
 
         ``engine`` selects the clock: ``"round"`` (default) is the paper's
         round engine; ``"event"`` returns the continuous-time
@@ -261,37 +251,12 @@ class VodSystem:
             raise ApiError(
                 f"engine must be 'round' or 'event', got {engine!r}"
             )
-        if engine == "event" and n_shards is not None:
-            raise ApiError(
-                "the event-driven engine does not support sharded execution "
-                "yet: pass engine='round' with n_shards, or drop n_shards"
-            )
         # Resolve through the registry (failing early, with the registry's
         # name list, on unknown kernels) and hand the engine the factory so
         # custom registered solvers actually get constructed.
         solver_factory = component_factory("solver", solver)
         if isinstance(scheduler, str):
             scheduler = create_component("scheduler", scheduler, self._catalog)
-        if n_shards is not None:
-            from repro.shard import ShardedVodSimulator
-
-            return ShardedVodSimulator(
-                self._allocation,
-                mu=self._mu,
-                scheduler=scheduler,
-                compensation_plan=compensation_plan,
-                record_connections=record_connections,
-                stop_on_infeasible=stop_on_infeasible,
-                churn=churn,
-                warm_start=warm_start,
-                solver=solver_factory,
-                round_observer=round_observer,
-                trace_level=trace_level,
-                n_shards=int(n_shards),
-                shard_host=shard_host,
-                shard_random_state=shard_random_state,
-                shard_checkpoint_every=shard_checkpoint_every,
-            )
         if engine == "event":
             # Imported lazily: the event package is only paid for when used.
             from repro.events.engine import EventDrivenVodSimulator

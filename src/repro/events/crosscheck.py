@@ -51,7 +51,6 @@ _PARITY_FIELDS = (
     "offline_boxes",
     "degraded",
     "repair_fallback",
-    "shard_restarts",
 )
 
 

@@ -104,8 +104,6 @@ def build_scenario(
     stop_on_infeasible: bool = False,
     round_observer: Optional[Callable[[RoundObservation], None]] = None,
     min_horizon: Optional[int] = None,
-    n_shards: Optional[int] = None,
-    shard_host: str = "process",
 ) -> CompiledScenario:
     """Compile ``spec`` into a fully wired simulator run.
 
@@ -120,13 +118,6 @@ def build_scenario(
     (otherwise the extra rounds would silently be churn-free).  The
     per-round churn draw is prefix-stable, so a longer schedule never
     changes the outages of the earlier rounds.
-
-    ``n_shards`` compiles the scenario onto the sharded multi-process
-    engine (:mod:`repro.shard`) with ``shard_host`` workers.  Sharded
-    runs are digest-identical to single-process runs of the same
-    ``(spec, seed)``: the shard entropy is a dedicated child stream
-    spawned after every other stream (append-stable), and the shard
-    data plane consumes no randomness during the run.
 
     ``spec.engine`` selects the clock: ``"event"`` compiles onto the
     continuous-time engine (:mod:`repro.events`), whose intra-round
@@ -147,10 +138,11 @@ def build_scenario(
     # never perturbs the population/allocation/churn/workload draws, and
     # fault-free specs keep their recorded randomness bit-identical.
     fault_streams = root.spawn(len(spec.faults)) if spec.faults else []
-    # Shard entropy comes after every earlier stream for the same
-    # append-stability reason; it is spawned even for unsharded builds so
-    # that turning sharding on (or off) never perturbs any later spawn.
-    shard_stream = root.spawn(1)[0]
+    # Reserved, unused spawn: the removed sharded engine drew its entropy
+    # from this slot.  It must stay, because the event stream
+    # below is spawned after it, and the recorded event-mode goldens
+    # (``event_steady_state``) pin that spawn order.
+    root.spawn(1)
     # Event-engine entropy (the intra-round arrival offsets) comes last
     # and is likewise spawned unconditionally: adding the event engine
     # perturbed no pre-existing digest, and any stream added later must
@@ -226,9 +218,6 @@ def build_scenario(
         solver=spec.solver,
         round_observer=round_observer,
         trace_level=spec.trace_level,
-        n_shards=n_shards,
-        shard_host=shard_host,
-        shard_random_state=shard_stream,
         engine=spec.engine,
         event_random_state=event_stream,
     )

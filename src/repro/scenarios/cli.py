@@ -82,21 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the full digest payload as JSON"
     )
     run_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run on the sharded multi-process engine with N worker shards "
-        "(digest-identical to the single-process run)",
-    )
-    run_p.add_argument(
-        "--shard-host",
-        default="process",
-        choices=["process", "inline"],
-        help="shard worker host: separate processes (default) or in-process "
-        "workers (debugging)",
-    )
-    run_p.add_argument(
         "--engine",
         default=None,
         choices=["round", "event"],
@@ -212,20 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="heap probe: exact Python-allocation tracing (slows rounds "
         "~20x) or full-speed resident-set sampling",
     )
-    soak_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run on the sharded multi-process engine with N worker shards; "
-        "the report then includes per-process RSS watermarks",
-    )
-    soak_p.add_argument(
-        "--shard-host",
-        default="process",
-        choices=["process", "inline"],
-        help="shard worker host for --shards (default: process)",
-    )
 
     smoke_p = sub.add_parser("smoke", help="run every scenario briefly")
     smoke_p.add_argument("names", nargs="*", help="subset of scenarios (default: all)")
@@ -251,8 +222,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec,
         seed=args.seed,
         num_rounds=args.rounds,
-        n_shards=args.shards,
-        shard_host=args.shard_host,
         engine=args.engine,
     )
     if args.json:
@@ -409,8 +378,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         repeats=args.repeat,
         memory_budget_bytes_per_round=args.memory_budget_kib * 1024,
         memory_probe=args.memory_probe,
-        n_shards=args.shards,
-        shard_host=args.shard_host,
         progress=print,
     )
     print(report.describe())

@@ -154,37 +154,26 @@ def run_scenario(
     seed: Optional[int] = None,
     num_rounds: Optional[int] = None,
     incremental: Optional[bool] = None,
-    n_shards: Optional[int] = None,
-    shard_host: str = "process",
     engine: Optional[str] = None,
 ) -> ScenarioRun:
     """Build, run and digest a scenario (by name or explicit spec).
 
     ``incremental`` pins the engine's incremental-matching toggle:
     ``True``/``False`` force the delta-repair path on/off, ``None``
-    (default) leaves the engine default.  ``n_shards`` runs the scenario
-    on the sharded multi-process engine (``shard_host`` ``"process"`` or
-    ``"inline"``); the digest is identical to the single-process run of
-    the same ``(scenario, seed)``.  ``engine`` overrides the spec's clock
-    mode (``"round"``/``"event"``): round records are engine-independent,
-    but event-mode summaries carry the latency-percentile keys, so the
-    digest reflects the mode that actually ran.
+    (default) leaves the engine default.  ``engine`` overrides the spec's
+    clock mode (``"round"``/``"event"``): round records are
+    engine-independent, but event-mode summaries carry the
+    latency-percentile keys, so the digest reflects the mode that
+    actually ran.
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if engine is not None:
         spec = spec.with_overrides(engine=engine)
     rounds = spec.horizon if num_rounds is None else int(num_rounds)
-    compiled = build_scenario(
-        spec, seed=seed, min_horizon=rounds, n_shards=n_shards, shard_host=shard_host
-    )
+    compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
     if incremental is not None:
         compiled.simulator.set_incremental_matching(incremental)
-    try:
-        result = compiled.run(rounds)
-    finally:
-        closer = getattr(compiled.simulator, "close", None)
-        if closer is not None:
-            closer()
+    result = compiled.run(rounds)
     return digest_result(spec, compiled.seed, rounds, result)
 
 

@@ -475,7 +475,7 @@ class VodSimulator:
     def _step(self, workload: DemandGenerator) -> bool:
         time = self._clock.now
         self._possession.evict_before(time)
-        keep_mask = self._drop_expired_requests(time)
+        keep_mask = self._pool.drop_expired_keeping(time)
         survivors = len(self._pool)
 
         # 1. Demand arrivals.
@@ -632,14 +632,6 @@ class VodSimulator:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _drop_expired_requests(self, time: int) -> Optional[np.ndarray]:
-        """Expire pool rows at the start of a round; returns the keep mask.
-
-        Overridable: the sharded engine keeps per-row shard bookkeeping
-        parallel to the pool and compacts it under the same mask.
-        """
-        return self._pool.drop_expired_keeping(time)
-
     def _generate_requests_batched(
         self, accepted: List[Tuple[int, Demand]], time: int
     ) -> int:

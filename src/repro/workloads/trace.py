@@ -166,16 +166,18 @@ def read_trace_header(path: str) -> TraceHeader:
     return TraceHeader(num_videos=int(num_videos), num_events=int(num_events))
 
 
-def iter_trace(path: str) -> Iterator[Tuple[int, int]]:
+def iter_trace(path: str, start: int = 0) -> Iterator[Tuple[int, int]]:
     """Stream ``(time, video)`` events from ``path`` in bounded memory.
 
     Reads ``CHUNK_EVENTS`` events per I/O call; a multi-gigabyte trace
-    replays with the same footprint as the bundled fixture.
+    replays with the same footprint as the bundled fixture.  ``start``
+    skips the first ``start`` events by seeking past them.
     """
     header = read_trace_header(path)
-    remaining = header.num_events
+    start = min(check_non_negative_integer(start, "start"), header.num_events)
+    remaining = header.num_events - start
     with open(path, "rb") as handle:
-        handle.seek(_HEADER.size)
+        handle.seek(_HEADER.size + start * _EVENT_DTYPE.itemsize)
         while remaining > 0:
             batch = min(remaining, CHUNK_EVENTS)
             raw = handle.read(batch * _EVENT_DTYPE.itemsize)
@@ -212,6 +214,9 @@ class TraceDemandWorkload:
         Bundled trace name or path (see :func:`resolve_trace_path`).
     start_time:
         Offset added to every trace timestamp, shifting the replay.
+
+    Pickling keeps only the count of consumed events; unpickling re-opens
+    the trace and seeks past them, so a session snapshot replays on.
     """
 
     def __init__(
@@ -224,9 +229,37 @@ class TraceDemandWorkload:
         self._start = check_non_negative_integer(start_time, "start_time")
         self._rng = as_generator(random_state)
         self._header = read_trace_header(self._path)
-        self._events = iter_trace(self._path)
+        self._consumed = 0
+        self._open_stream()
+
+    def _open_stream(self) -> None:
+        self._events = iter_trace(self._path, start=self._consumed)
         self._pending: Tuple[int, int] | None = None
-        self._exhausted = self._header.num_events == 0
+        self._exhausted = self._consumed >= self._header.num_events
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        # The open reader is a generator, which pickle refuses; the
+        # consumed count is enough to re-open the trace where it was.
+        for name in ("_events", "_pending", "_exhausted"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        header = read_trace_header(self._path)
+        recorded = self._header
+        if (header.num_videos, header.num_events) != (
+            recorded.num_videos,
+            recorded.num_events,
+        ):
+            raise ValueError(
+                f"trace file {self._path!r} changed since it was pickled: "
+                f"header now has {header.num_videos} videos and "
+                f"{header.num_events} events, was {recorded.num_videos} "
+                f"videos and {recorded.num_events} events"
+            )
+        self._open_stream()
 
     @property
     def header(self) -> TraceHeader:
@@ -249,6 +282,7 @@ class TraceDemandWorkload:
                 break
             due.append(video)
             self._pending = None
+            self._consumed += 1
         return due
 
     def demand_arrays_for_round(

@@ -25,7 +25,13 @@ from repro.scenarios.registry import get_scenario
 #: Hopcroft–Karp kernel and the Dinic max-flow oracle.
 SNAPSHOT_GRID = [
     (name, solver)
-    for name in ("steady_state", "flashcrowd_spike", "churn_storm", "near_threshold_load")
+    for name in (
+        "steady_state",
+        "flashcrowd_spike",
+        "churn_storm",
+        "near_threshold_load",
+        "trace_replay",
+    )
     for solver in ("hopcroft_karp", "dinic")
 ]
 

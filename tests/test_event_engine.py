@@ -173,12 +173,6 @@ class TestFacade:
         with pytest.raises(ApiError, match="engine"):
             system.build_simulator(engine="continuous")
 
-    def test_event_engine_rejects_sharding(self):
-        system = _small_system()
-        system.allocate("permutation", replicas_per_stripe=4, seed=0)
-        with pytest.raises(ApiError, match="shard"):
-            system.build_simulator(engine="event", n_shards=2)
-
     def test_session_reports_carry_latency_fields(self):
         spec = get_scenario("event_steady_state")
         session = build_scenario(spec, seed=SEED).session(horizon=8)

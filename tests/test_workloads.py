@@ -1,5 +1,7 @@
 """Tests for demand workloads (adversarial, flash crowd, popularity, sequential)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,12 @@ from repro.workloads.popularity import (
     zipf_weights,
 )
 from repro.workloads.sequential import SequentialViewingWorkload
-from repro.workloads.trace import TraceDemandWorkload, load_trace, resolve_trace_path
+from repro.workloads.trace import (
+    TraceDemandWorkload,
+    load_trace,
+    resolve_trace_path,
+    write_trace,
+)
 
 
 def make_view(time=0, n=30, m=20, c=4, u=1.5, d=3.0, k=3, mu=2.0, busy=(), seed=0):
@@ -395,6 +402,16 @@ class TestTraceWorkload:
         workload = TraceDemandWorkload("zipf_small", start_time=5, random_state=1)
         assert workload.demands_for_round(make_view(time=4, m=16)) == []
         assert len(workload.demands_for_round(make_view(time=5, m=16))) > 0
+
+    def test_unpickle_rejects_a_changed_trace(self, tmp_path):
+        path = tmp_path / "changing.trace"
+        write_trace(str(path), [(0, 1), (1, 2), (2, 3)], num_videos=4)
+        workload = TraceDemandWorkload(str(path), random_state=1)
+        workload.demand_arrays_for_round(make_view(time=0, m=16))
+        payload = pickle.dumps(workload)
+        write_trace(str(path), [(0, 1), (1, 2)], num_videos=4)
+        with pytest.raises(ValueError, match="changed since it was pickled"):
+            pickle.loads(payload)
 
     def test_array_and_object_paths_agree(self):
         a = TraceDemandWorkload("zipf_small", random_state=7)
