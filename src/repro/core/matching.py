@@ -1399,11 +1399,10 @@ class ConnectionMatcher:
                     # max-flow kernel.  Maximum-matching cardinality is
                     # solver-independent, so feasibility and per-round metrics
                     # are unchanged; only the degraded flag records the event.
-                    edges = [
-                        (i, int(indices[e]))
-                        for i in range(num_requests)
-                        for e in range(int(indptr[i]), int(indptr[i + 1]))
-                    ]
+                    rows = np.repeat(
+                        np.arange(num_requests, dtype=np.int64), np.diff(indptr)
+                    )
+                    edges = list(zip(rows.tolist(), indices.tolist()))
                     fallback: BMatchingResult = solve_b_matching(
                         num_left=num_requests,
                         num_right=n,

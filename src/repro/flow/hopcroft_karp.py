@@ -17,6 +17,30 @@ adjacency with a capacitated Hopcroft–Karp:
 * when the instance is infeasible, the final BFS frontier yields the same
   generalized-Hall witness (Lemma 1) the min-cut extraction produced.
 
+Near the upload threshold most rounds are infeasible, and most of a
+solve is exploration whose only outcome is "no augmenting path here".
+The kernel skips that work without changing what it returns:
+
+* each phase's layering is a level-synchronous NumPy BFS over the CSR
+  (full boxes expanded once, free boxes only ending the search, the last
+  layer labelled but not expanded) — the layers of the scalar BFS;
+* before the phase's DFS, a backward walk over those layers keeps only
+  the *live* lefts, those with a layered path to spare capacity; every
+  other left is discarded up front, so failing roots cost nothing;
+* on the small-deficit path, the boxes a failed single-source search
+  expanded are skipped by the later searches of the same call.
+
+Why the results are identical: in the residual graph an augmentation
+only reverses edges among nodes that can reach spare capacity, so a node
+that cannot reach it never can later in the call ("dead stays dead").
+Within a phase the layered graph gains no edges — the pairs an
+augmentation writes into a box's matched list sit one layer too shallow
+for any searcher that can reach that box — and free capacity only
+shrinks.  The DFS would therefore enter every discarded left or box, fail
+and discard it while changing nothing else; skipping it keeps every
+search's outcome, the root order and the augmentation-budget charge per
+root.
+
 The kernel is exact and deterministic: for a fixed instance it always
 returns the same assignment (warm starts may change *which* maximum
 matching is returned, never its cardinality or feasibility).
@@ -25,7 +49,6 @@ matching is returned, never its cardinality or feasibility).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
@@ -172,13 +195,21 @@ class _LazyRightMatches:
         return [self[j] for j in range(self._num_right)]
 
 
-def _kuhn_augment(i0: int, starts, adj, cap, load, match_left, right_matches) -> bool:
+def _kuhn_augment(
+    i0: int, starts, adj, cap, load, match_left, right_matches, dead: set
+) -> bool:
     """Single-source augmentation without layering (small deficits).
 
     Iterative DFS over alternating paths; every full right node is
     expanded at most once, so one call costs O(V + E).  A left for
     which it fails has no augmenting path — and by the standard
     monotonicity lemma never will, whatever else gets augmented.
+
+    ``dead`` is shared by the searches of one kernel call: a failed
+    search adds every right node it expanded (none of them can reach
+    spare capacity, and augmenting never gives them a way to), and every
+    search skips the nodes already in it — exactly the subtrees it would
+    have expanded and failed in, so results are unchanged.
 
     Generic over list- and array-backed structures: ``starts``/``adj``/
     ``cap`` are read element-wise, ``load``/``match_left`` are mutated
@@ -207,7 +238,7 @@ def _kuhn_augment(i0: int, starts, adj, cap, load, match_left, right_matches) ->
                     right_matches[jt][fm] = fi
                     match_left[fi] = jt
                 return True
-            if j not in visited:
+            if j not in visited and j not in dead:
                 visited.add(j)
                 row = right_matches[j]
                 if row:
@@ -230,7 +261,85 @@ def _kuhn_augment(i0: int, starts, adj, cap, load, match_left, right_matches) ->
             else:
                 parent[1] += 1
                 parent[2] = 0
+    dead |= visited
     return False
+
+
+def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge positions of CSR ``rows``, concatenated in order, and the row lengths."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lens), lens), lens
+
+
+def _live_layers(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    cap: np.ndarray,
+    match: np.ndarray,
+    load: np.ndarray,
+) -> Tuple[float, np.ndarray]:
+    """Alternating-path layering of the lefts, pruned to the live ones.
+
+    A level-synchronous BFS from the free lefts (layer 0): each full
+    right node is expanded once, at the first layer that reaches it, and
+    its matched lefts form the next layer; the first layer with an edge
+    to a right node of spare capacity ends the search at
+    ``dist_nil = layer + 1``.  These are the layers of the classical
+    one-left-at-a-time BFS.
+
+    Returns ``(dist_nil, dist)``.  When no spare capacity is reachable,
+    ``dist_nil`` is infinite and ``dist`` holds the layer of every
+    reachable left (the Hall witness).  Otherwise ``dist`` keeps only the
+    *live* lefts — those with a layered path to spare capacity, found by
+    walking the layers back from ``dist_nil - 1`` — and every other left
+    is infinite: the layered DFS would enter them, fail and discard them
+    without changing anything else.
+    """
+    num_right = cap.size
+    dist = np.full(match.size, _INF)
+    full = load >= cap
+    matched = np.flatnonzero(match >= 0)
+    # Matched lefts grouped by right node, as a CSR over the right nodes.
+    by_right = matched[np.argsort(match[matched], kind="stable")]
+    right_ptr = np.zeros(num_right + 1, dtype=np.int64)
+    np.cumsum(np.bincount(match[matched], minlength=num_right), out=right_ptr[1:])
+    # Right nodes with spare capacity are never expanded.
+    expanded = ~full
+    levels = []
+    frontier = np.flatnonzero(match < 0)
+    while frontier.size:
+        dist[frontier] = len(levels)
+        pos, lens = _row_edges(indptr, frontier)
+        owner = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
+        right = indices[pos]
+        levels.append((frontier, owner, right))
+        if not full[right].all():
+            break
+        fresh = np.unique(right[~expanded[right]])
+        expanded[fresh] = True
+        frontier = by_right[_row_edges(right_ptr, fresh)[0]]
+    else:
+        return _INF, dist
+
+    # Backward liveness: a left at the last layer is live when it reaches
+    # spare capacity, a shallower one when one of its right nodes holds a
+    # live left of the next layer.
+    dist[:] = _INF
+    live_right = np.zeros(num_right, dtype=bool)
+    for layer in range(len(levels) - 1, -1, -1):
+        frontier, owner, right = levels[layer]
+        hit = ~full[right] if layer == len(levels) - 1 else live_right[right]
+        keep = np.zeros(frontier.size, dtype=bool)
+        keep[owner[hit]] = True
+        live = frontier[keep]
+        dist[live] = layer
+        live_right[:] = False
+        if layer:
+            live_right[match[live]] = True
+    return float(len(levels)), dist
 
 
 def hopcroft_karp_matching(
@@ -276,6 +385,18 @@ def hopcroft_karp_matching(
     if indptr_arr.shape != (num_left + 1,):
         raise ValueError("indptr must have num_left + 1 entries")
     indices_arr = np.asarray(indices, dtype=np.int64)
+    if (
+        indptr_arr[0] != 0
+        or (indptr_arr[1:] < indptr_arr[:-1]).any()
+        or indptr_arr[-1] != indices_arr.size
+    ):
+        raise ValueError(
+            "indptr must start at 0, be non-decreasing and end at len(indices)"
+        )
+    if indices_arr.size and (
+        int(indices_arr.min()) < 0 or int(indices_arr.max()) >= num_right
+    ):
+        raise ValueError("indices must lie in [0, num_right)")
     cap_arr = np.asarray(right_capacities, dtype=np.int64)
     if cap_arr.shape != (num_right,):
         raise ValueError("right_capacities must have one entry per right node")
@@ -346,22 +467,12 @@ def hopcroft_karp_matching(
     # Python lists once so the inner scan avoids NumPy scalar indexing.
     unmatched = np.flatnonzero(match_arr < 0)
     if unmatched.size:
-        row_starts = indptr_arr[unmatched]
-        row_lens = (indptr_arr[unmatched + 1] - row_starts).tolist()
-        total = int(sum(row_lens))
-        if total:
-            gather = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum([0] + row_lens[:-1]), row_lens)
-                + np.repeat(row_starts, row_lens)
-            )
-            flat_rows = indices_arr[gather].tolist()
-        else:
-            flat_rows = []
+        gather, row_lens = _row_edges(indptr_arr, unmatched)
+        flat_rows = indices_arr[gather].tolist()
         load = load_arr.tolist()
         cap = cap_arr.tolist()
         offset = 0
-        for i, row_len in zip(unmatched.tolist(), row_lens):
+        for i, row_len in zip(unmatched.tolist(), row_lens.tolist()):
             for e in range(offset, offset + row_len):
                 j = flat_rows[e]
                 if load[j] < cap[j]:
@@ -414,10 +525,11 @@ def hopcroft_karp_matching(
     lazy_rm: Optional[_LazyRightMatches] = None
     if 0 < deficit <= max(8, math.isqrt(num_left)):
         lazy_rm = _LazyRightMatches(num_right, warm_i, warm_b, greedy_pairs)
+        dead: set = set()
         for i in range(num_left):
             if match_left[i] < 0:
                 _charge_search()
-                if _kuhn_augment(i, starts, adj, cap, load, match_left, lazy_rm):
+                if _kuhn_augment(i, starts, adj, cap, load, match_left, lazy_rm, dead):
                     matched += 1
         if matched == num_left:
             return HKMatchingResult(
@@ -437,44 +549,10 @@ def hopcroft_karp_matching(
         for i, b in greedy_pairs:
             right_matches[b].append(i)
 
-    dist: List[float] = [_INF] * num_left
-
-    def bfs() -> float:
-        """Layer the lefts by alternating-path distance from the free ones."""
-        queue: deque = deque()
-        for i in range(num_left):
-            if match_left[i] < 0:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = _INF
-        seen_right = [False] * num_right
-        dist_nil = _INF
-        while queue:
-            i = queue.popleft()
-            di = dist[i]
-            if di >= dist_nil:
-                continue
-            dn = di + 1
-            for e in range(starts[i], starts[i + 1]):
-                j = adj[e]
-                if load[j] < cap[j]:
-                    if dn < dist_nil:
-                        dist_nil = dn
-                elif not seen_right[j]:
-                    # Expand each full right node once: BFS order guarantees
-                    # the first visit assigns the minimal layer.
-                    seen_right[j] = True
-                    for i2 in right_matches[j]:
-                        if dist[i2] == _INF:
-                            dist[i2] = dn
-                            queue.append(i2)
-        return dist_nil
-
-    def augment(i0: int, ptr: List[int], dist_nil: float) -> bool:
+    def augment(i0: int, dist: List[float], dist_nil: float) -> bool:
         """Iterative layered DFS from free left ``i0``; applies one augmentation."""
         # Frame: [left node, current edge index, position in right_matches].
-        stack: List[List[int]] = [[i0, ptr[i0], 0]]
+        stack: List[List[int]] = [[i0, starts[i0], 0]]
         while stack:
             frame = stack[-1]
             i, e, m = frame
@@ -502,7 +580,7 @@ def hopcroft_karp_matching(
                     i2 = row[m]
                     if dist[i2] == layer:
                         frame[1], frame[2] = e, m
-                        stack.append([i2, ptr[i2], 0])
+                        stack.append([i2, starts[i2], 0])
                         descended = True
                         break
                     m += 1
@@ -513,7 +591,6 @@ def hopcroft_karp_matching(
             if descended:
                 continue
             # Dead end: prune this left for the rest of the phase.
-            ptr[i] = end
             dist[i] = _INF
             stack.pop()
             if stack:
@@ -521,25 +598,28 @@ def hopcroft_karp_matching(
         return False
 
     while matched < num_left:
-        dist_nil = bfs()
+        match_now = np.asarray(match_left, dtype=np.int64)
+        dist_nil, dist_arr = _live_layers(
+            indptr_arr, indices_arr, cap_arr, match_now, np.asarray(load, dtype=np.int64)
+        )
         if dist_nil == _INF:
             break
-        # Per-left persistent edge pointers (reset at each phase).
-        ptr = starts[:num_left]
-        for i in range(num_left):
-            if match_left[i] < 0:
-                _charge_search()
-                if augment(i, ptr, dist_nil):
-                    matched += 1
+        dist = dist_arr.tolist()
+        # Every free left is a root and is charged, live or not; only an
+        # augmentation rematches a left, and only its own root's.
+        for i in np.flatnonzero(match_now < 0).tolist():
+            _charge_search()
+            if dist[i] != _INF and augment(i, dist, dist_nil):
+                matched += 1
 
     assignment = np.asarray(match_left, dtype=np.int64)
-    deficient = tuple(i for i in range(num_left) if match_left[i] < 0)
+    deficient = tuple(np.flatnonzero(assignment < 0).tolist())
     witness: Optional[Tuple[int, ...]] = None
     if deficient:
-        # ``dist`` holds the final (failed) BFS layering: the lefts reachable
+        # ``dist_arr`` holds the final (failed) layering: the lefts reachable
         # from the unmatched ones form the Hall-violating subset, exactly as
         # the min-cut extraction of the flow formulation.
-        witness = tuple(i for i in range(num_left) if dist[i] != _INF)
+        witness = tuple(np.flatnonzero(dist_arr != _INF).tolist())
     return HKMatchingResult(
         feasible=not deficient,
         assignment=assignment,

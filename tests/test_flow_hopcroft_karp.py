@@ -157,6 +157,16 @@ class TestKernelEdgeCases:
             hopcroft_karp_matching(
                 1, 1, [0, 0], [], [1], initial_assignment=[0, 0]
             )  # wrong warm-start length
+        with pytest.raises(ValueError, match="num_right"):
+            hopcroft_karp_matching(1, 1, [0, 1], [1], [1])  # index past num_right
+        with pytest.raises(ValueError, match="num_right"):
+            hopcroft_karp_matching(1, 1, [0, 1], [-1], [1])  # negative index
+        with pytest.raises(ValueError, match="non-decreasing"):
+            hopcroft_karp_matching(2, 1, [0, 2, 1], [0], [1])  # decreasing indptr
+        with pytest.raises(ValueError, match="start at 0"):
+            hopcroft_karp_matching(1, 1, [1, 1], [0], [1])  # indptr[0] != 0
+        with pytest.raises(ValueError, match="len\\(indices\\)"):
+            hopcroft_karp_matching(1, 1, [0, 1], [0, 0], [1])  # trailing entries
         with pytest.raises(ValueError):
             csr_from_edges(1, 1, [(1, 0)])
         with pytest.raises(ValueError):
