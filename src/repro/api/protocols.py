@@ -77,9 +77,7 @@ class RequestScheduler(Protocol):
         """Nominal start-up delay of the strategy, in rounds."""
         ...  # pragma: no cover
 
-    def on_demand(
-        self, demand: Demand, locally_stored: Optional[Set[int]] = None
-    ) -> List[StripeRequest]:
+    def on_demand(self, demand: Demand) -> List[StripeRequest]:
         """Requests to issue at the demand round (others queued internally)."""
         ...  # pragma: no cover
 

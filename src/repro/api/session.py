@@ -51,8 +51,12 @@ __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 #:     swarm entry logs, demand log).  Version-1 payloads pickle classes
 #:     whose layout no longer exists, so loading one raises a typed
 #:     :class:`~repro.api.errors.SnapshotFormatError` instead of
-#:     deserializing into a torn engine.
-SNAPSHOT_FORMAT_VERSION = 2
+#:     deserializing into a torn engine;
+#: 3 — one demand path: the preloading scheduler logs demands only as
+#:     array blocks (a version-2 payload would restore with part of its
+#:     demand log missing), and attributes set in ``__init__`` are read
+#:     directly, without defaults for payloads that lack them.
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -467,7 +471,7 @@ class VodSession:
                 f"session is closed after {self.rounds_completed} rounds"
             )
         engine = self._engine
-        if getattr(self, "_shed_when_degraded", False) and engine.last_round_degraded:
+        if self._shed_when_degraded and engine.last_round_degraded:
             raise AdmissionError(
                 "admission shed: the previous round ran through the degraded "
                 "solver fallback; retry once the solver recovers"
@@ -537,7 +541,7 @@ class VodSession:
             )
         engine = self._engine
         time = engine.now
-        driver = getattr(self, "_fault_driver", None)
+        driver = self._fault_driver
         if driver is not None:
             driver.apply(engine, time)
         injected = len(self._pending)

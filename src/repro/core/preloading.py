@@ -25,7 +25,7 @@ them round by round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -80,42 +80,32 @@ class Demand:
 class PreloadingScheduler:
     """Converts demands into preloading + postponed stripe requests.
 
+    :meth:`on_demand_arrays` is the one implementation of the strategy;
+    :meth:`on_demand` and :meth:`on_demands_batch` are adapters over it
+    for callers holding :class:`Demand` objects.
+
     Parameters
     ----------
     catalog:
         The video catalog (provides ``c`` and global stripe identifiers).
-    skip_locally_stored:
-        When ``True``, a box does not issue requests for stripes it already
-        stores statically (it can play them locally at no upload cost).
-        The paper issues all ``c`` requests regardless; the default
-        ``False`` follows the paper.
     """
 
-    def __init__(self, catalog: Catalog, skip_locally_stored: bool = False):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._skip_local = bool(skip_locally_stored)
         #: Per-video swarm-entry counter used to rotate the preload stripe.
         self._entry_counter: Dict[int, int] = {}
         #: Requests queued for future rounds, as struct-of-arrays blocks:
         #: round -> list of (stripe_ids, box_ids, demand_indices) with
-        #: demand index −1 when queued through the object API.
+        #: demand index −1 when queued through :meth:`on_demand`.
         self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        #: (box, video, demand time) log of scheduled demands, for metrics.
-        self._scheduled: List[Demand] = []
-        #: Array-path demand-log blocks ``(time, box_ids, video_ids)`` not
-        #: yet materialized into ``_scheduled`` (lazy — the hot path never
-        #: builds Demand objects).
+        #: Demand log, as ``(time, box_ids, video_ids)`` blocks in arrival
+        #: order (materialized into Demand objects on :attr:`demands_seen`).
         self._scheduled_blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
 
     @property
     def catalog(self) -> Catalog:
         """The catalog the scheduler generates requests against."""
         return self._catalog
-
-    @property
-    def skip_locally_stored(self) -> bool:
-        """Whether locally stored stripes are skipped (non-paper variant)."""
-        return self._skip_local
 
     def update_catalog(self, catalog: Catalog) -> None:
         """Adopt a grown catalog (live ``add_videos`` reconfiguration)."""
@@ -130,127 +120,49 @@ class PreloadingScheduler:
         """Number of boxes that have entered the swarm of ``video_id`` so far."""
         return self._entry_counter.get(int(video_id), 0)
 
-    def _flush_scheduled(self) -> None:
-        """Materialize queued array-path demand blocks into ``_scheduled``.
-
-        Keeps the object and array logging paths interleavable: whichever
-        entries arrived first appear first.  ``getattr`` tolerates
-        schedulers unpickled from snapshots taken before the lazy log
-        existed.
-        """
-        blocks = getattr(self, "_scheduled_blocks", None)
-        if not blocks:
-            return
-        for time, boxes, videos in blocks:
-            self._scheduled.extend(
-                Demand(time=time, box_id=b, video_id=v)
-                for b, v in zip(boxes.tolist(), videos.tolist())
-            )
-        blocks.clear()
-
     # ------------------------------------------------------------------ #
     # Demand handling
     # ------------------------------------------------------------------ #
-    def on_demand(
-        self,
-        demand: Demand,
-        locally_stored: Optional[Set[int]] = None,
-    ) -> List[StripeRequest]:
+    def on_demand(self, demand: Demand) -> List[StripeRequest]:
         """Process a demand arriving in ``[demand.time − 1, demand.time[``.
 
         Returns the requests to issue *at* ``demand.time`` (the preloading
         request) and internally queues the ``c−1`` postponed requests for
-        ``demand.time + 1``.  ``locally_stored`` optionally lists stripe
-        identifiers the demanding box stores statically (used only when
-        ``skip_locally_stored`` is enabled).
+        ``demand.time + 1``, with demand index −1.
         """
-        video = self._catalog.video(demand.video_id)
-        c = video.num_stripes
-        entry_index = self._entry_counter.get(demand.video_id, 0)
-        self._entry_counter[demand.video_id] = entry_index + 1
-        self._flush_scheduled()
-        self._scheduled.append(demand)
-
-        preload_index = entry_index % c
-        local = locally_stored if (self._skip_local and locally_stored) else set()
-
-        immediate: List[StripeRequest] = []
-        preload_stripe = self._catalog.stripe_id(demand.video_id, preload_index)
-        if preload_stripe not in local:
-            immediate.append(
-                StripeRequest(
-                    stripe_id=preload_stripe,
-                    request_time=demand.time,
-                    box_id=demand.box_id,
-                    is_preload=True,
-                )
+        self._catalog.video(demand.video_id)  # validates the video id
+        pre_stripes, _, _ = self.on_demand_arrays(
+            np.array([demand.video_id], dtype=np.int64),
+            np.array([demand.box_id], dtype=np.int64),
+            np.array([-1], dtype=np.int64),
+            demand.time,
+        )
+        return [
+            StripeRequest(
+                stripe_id=int(pre_stripes[0]),
+                request_time=demand.time,
+                box_id=demand.box_id,
+                is_preload=True,
             )
-
-        postponed: List[int] = []
-        for index in range(c):
-            if index == preload_index:
-                continue
-            stripe_id = self._catalog.stripe_id(demand.video_id, index)
-            if stripe_id in local:
-                continue
-            postponed.append(stripe_id)
-        if postponed:
-            stripes = np.asarray(postponed, dtype=np.int64)
-            self._pending.setdefault(demand.time + 1, []).append(
-                (
-                    stripes,
-                    np.full(stripes.size, demand.box_id, dtype=np.int64),
-                    np.full(stripes.size, -1, dtype=np.int64),
-                )
-            )
-        return immediate
+        ]
 
     def on_demands_batch(
         self, accepted: List[Tuple[int, Demand]]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`on_demand` over one round's accepted demands.
+        """:meth:`on_demand_arrays` over ``(demand index, Demand)`` pairs.
 
-        ``accepted`` pairs each demand with its engine demand-log index.
-        Returns the preloading requests as ``(stripe_ids, box_ids,
-        demand_indices)`` arrays and queues the ``c−1`` postponed requests
-        (with their demand indices) for the next round — identical
-        requests, in identical order, to calling :meth:`on_demand` per
-        demand.  Only valid without ``skip_locally_stored`` (the engine's
-        configuration); all demands must share one arrival round.
+        All demands must share one arrival round.  The engine no longer
+        calls it; ``perfbench/spans.py`` still traces it by name.
         """
-        if self._skip_local:
-            raise RuntimeError(
-                "on_demands_batch does not support skip_locally_stored"
-            )
-        c = self._catalog.num_stripes_per_video
-        n = len(accepted)
-        videos = np.empty(n, dtype=np.int64)
-        preload_idx = np.empty(n, dtype=np.int64)
-        boxes = np.empty(n, dtype=np.int64)
-        demand_indices = np.empty(n, dtype=np.int64)
-        counter = self._entry_counter
-        self._flush_scheduled()
-        for j, (demand_index, demand) in enumerate(accepted):
-            entry = counter.get(demand.video_id, 0)
-            counter[demand.video_id] = entry + 1
-            self._scheduled.append(demand)
-            videos[j] = demand.video_id
-            preload_idx[j] = entry % c
-            boxes[j] = demand.box_id
-            demand_indices[j] = demand_index
-        pre_stripes = videos * c + preload_idx
-        if n and c > 1:
-            stripe_offsets = np.arange(c, dtype=np.int64)
-            grid = videos[:, None] * c + stripe_offsets[None, :]
-            keep = stripe_offsets[None, :] != preload_idx[:, None]
-            self._pending.setdefault(int(accepted[0][1].time) + 1, []).append(
-                (
-                    grid[keep],
-                    np.repeat(boxes, c - 1),
-                    np.repeat(demand_indices, c - 1),
-                )
-            )
-        return pre_stripes, boxes, demand_indices
+        if not accepted:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        return self.on_demand_arrays(
+            np.array([demand.video_id for _, demand in accepted], dtype=np.int64),
+            np.array([demand.box_id for _, demand in accepted], dtype=np.int64),
+            np.array([index for index, _ in accepted], dtype=np.int64),
+            accepted[0][1].time,
+        )
 
     def on_demand_arrays(
         self,
@@ -259,49 +171,28 @@ class PreloadingScheduler:
         demand_indices: np.ndarray,
         time: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-path :meth:`on_demands_batch`: no Demand objects at all.
+        """Process one round's arrivals, given as parallel arrays.
 
-        Produces the same preloading requests and queues the same
-        postponed blocks as the object paths for the same arrivals in the
-        same order; the demand log is recorded lazily (materialized on
-        :attr:`demands_seen` access).  Only valid without
-        ``skip_locally_stored``; all arrivals share round ``time``.
+        Returns the preloading requests issued at ``time`` as
+        ``(stripe_ids, box_ids, demand_indices)`` and queues the ``c−1``
+        postponed requests of each arrival, with its demand index, for
+        ``time + 1``.  Arrivals are processed in array order: the ``p``-th
+        box entering a video's swarm preloads stripe ``p mod c``.
         """
-        if self._skip_local:
-            raise RuntimeError("on_demand_arrays does not support skip_locally_stored")
         c = self._catalog.num_stripes_per_video
         n = int(video_ids.size)
         time = int(time)
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        # Per-video swarm-entry counters: the j-th arrival of a video this
-        # round preloads stripe (counter + j) mod c.  The stable sort keeps
-        # arrival order within each video, so ranks equal the per-demand
-        # counter values the object path would have used.
-        order = np.argsort(video_ids, kind="stable")
-        sorted_videos = video_ids[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.not_equal(sorted_videos[1:], sorted_videos[:-1], out=starts[1:])
-        start_pos = np.flatnonzero(starts)
-        counts = np.diff(np.append(start_pos, n))
-        unique_videos = sorted_videos[start_pos]
-        base = np.empty(unique_videos.size, dtype=np.int64)
         counter = self._entry_counter
-        for j, vid in enumerate(unique_videos.tolist()):
+        entries = []
+        for vid in video_ids.tolist():
             entry = counter.get(vid, 0)
-            base[j] = entry
-            counter[vid] = entry + int(counts[j])
-        rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(start_pos, counts)
-        entry_sorted = base.repeat(counts) + rank_sorted
-        entries = np.empty(n, dtype=np.int64)
-        entries[order] = entry_sorted
-        preload_idx = entries % c
-        blocks = getattr(self, "_scheduled_blocks", None)
-        if blocks is None:
-            blocks = self._scheduled_blocks = []
-        blocks.append((time, box_ids.copy(), video_ids.copy()))
+            counter[vid] = entry + 1
+            entries.append(entry)
+        preload_idx = np.array(entries, dtype=np.int64) % c
+        self._scheduled_blocks.append((time, box_ids.copy(), video_ids.copy()))
         pre_stripes = video_ids * c + preload_idx
         if c > 1:
             stripe_offsets = np.arange(c, dtype=np.int64)
@@ -320,7 +211,7 @@ class PreloadingScheduler:
         """Pop the postponed requests queued for round ``time`` as arrays.
 
         Returns ``(stripe_ids, box_ids, demand_indices)``; a demand index
-        of −1 marks a request queued through the object API (the engine
+        of −1 marks a request queued through :meth:`on_demand` (the engine
         resolves it against its demand log).
         """
         check_non_negative_integer(time, "time")
@@ -363,15 +254,17 @@ class PreloadingScheduler:
     @property
     def demands_seen(self) -> Tuple[Demand, ...]:
         """All demands processed so far (chronological order of arrival)."""
-        self._flush_scheduled()
-        return tuple(self._scheduled)
+        return tuple(
+            Demand(time=time, box_id=b, video_id=v)
+            for time, boxes, videos in self._scheduled_blocks
+            for b, v in zip(boxes.tolist(), videos.tolist())
+        )
 
     def reset(self) -> None:
         """Clear all counters and queued requests."""
         self._entry_counter.clear()
         self._pending.clear()
-        self._scheduled.clear()
-        getattr(self, "_scheduled_blocks", []).clear()
+        self._scheduled_blocks.clear()
 
 
 class ImmediateRequestScheduler:
@@ -412,11 +305,7 @@ class ImmediateRequestScheduler:
         """Nominal start-up delay of the ablated strategy (2 rounds)."""
         return 2
 
-    def on_demand(
-        self,
-        demand: Demand,
-        locally_stored: Optional[Set[int]] = None,
-    ) -> List[StripeRequest]:
+    def on_demand(self, demand: Demand) -> List[StripeRequest]:
         """Issue all ``c`` stripe requests of the demanded video immediately."""
         video = self._catalog.video(demand.video_id)
         self._scheduled.append(demand)

@@ -39,11 +39,10 @@ perturbs a recorded digest.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.events.queue import (
     Arrival,
     ChurnTransition,
@@ -53,6 +52,7 @@ from repro.events.queue import (
     PlaybackStart,
 )
 from repro.sim.engine import VodSimulator
+from repro.sim.rules import admission_mask
 from repro.util.soa import ensure_column_capacity
 from repro.workloads.base import DemandGenerator
 
@@ -202,59 +202,9 @@ class EventDrivenVodSimulator(VodSimulator):
             return np.empty(0, dtype=np.float64)
         return time + np.sort(self._event_rng.random(count))
 
-    def _note_admission(self, demand_index: int, arrival: float, time: int) -> None:
-        ensure_column_capacity(
-            self, ("_arrival_time",), demand_index, demand_index + 1
-        )
-        self._arrival_time[demand_index] = arrival
-        self._queue.push(
-            Expiry(
-                time=float(time + self._catalog.duration),
-                round=time + self._catalog.duration,
-                box_id=int(self._demand_box[demand_index]),
-                demand_index=int(demand_index),
-            )
-        )
-
-    def _accept_demands(
-        self, demands: Sequence[Demand], time: int
-    ) -> List[Tuple[int, Demand]]:
-        demands = list(demands)
-        times = self._draw_arrival_times(len(demands), time)
-        accepted = super()._accept_demands(demands, time)
-        self._round_arrivals += len(demands)
-        self._round_accepted += len(accepted)
-        # ``accepted`` preserves emission order, so one monotone identity
-        # walk recovers each accepted demand's position in the round list.
-        accepted_mask = np.zeros(len(demands), dtype=bool)
-        cursor = 0
-        for demand_index, demand in accepted:
-            while demands[cursor] is not demand:
-                cursor += 1
-            accepted_mask[cursor] = True
-            self._note_admission(demand_index, float(times[cursor]), time)
-            cursor += 1
-        for position, demand in enumerate(demands):
-            self._queue.push(
-                Arrival(
-                    time=float(times[position]),
-                    round=time,
-                    box_id=int(demand.box_id),
-                    video_id=int(demand.video_id),
-                    accepted=bool(accepted_mask[position]),
-                )
-            )
-        if accepted:
-            latencies = (time + 1) - times[accepted_mask]
-            self._round_latencies = latencies
-            self._metrics.record_admission_latencies(latencies)
-        return accepted
-
     def _accept_demand_arrays(
         self, box_ids: np.ndarray, video_ids: np.ndarray, time: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from repro.sim.rules import admission_mask
-
         count = int(box_ids.size)
         times = self._draw_arrival_times(count, time)
         # The admission rule reads only pre-round state, so evaluating it

@@ -335,27 +335,27 @@ class VodSimulator:
     @property
     def last_round_degraded(self) -> bool:
         """Whether the last round fell back to the degraded solver path."""
-        return getattr(self, "_last_round_degraded", False)
+        return self._last_round_degraded
 
     @property
     def degraded_rounds(self) -> int:
         """Number of rounds solved through the degraded fallback so far."""
-        return getattr(self, "_degraded_rounds", 0)
+        return self._degraded_rounds
 
     @property
     def last_round_repair_fallback(self) -> bool:
         """Whether the last round's incremental repair fell back to the full kernel."""
-        return getattr(self, "_last_round_repair_fallback", False)
+        return self._last_round_repair_fallback
 
     @property
     def repair_fallback_rounds(self) -> int:
         """Number of rounds whose repair budget forced a full re-solve so far."""
-        return getattr(self, "_repair_fallback_rounds", 0)
+        return self._repair_fallback_rounds
 
     @property
     def incremental_matching(self) -> bool:
         """Whether the incremental delta-repair matching path is enabled."""
-        return getattr(self, "_incremental_matching", True)
+        return self._incremental_matching
 
     def set_incremental_matching(self, enabled: bool) -> None:
         """Toggle the incremental matching path (benchmarks, A/B tests).
@@ -487,40 +487,26 @@ class VodSimulator:
             swarms=self._swarms,
             free_boxes=self.free_boxes(time),
         )
-        # The paper's homogeneous preloading strategy flows through the
-        # batched array paths; relayed/custom schedulers and full traces
-        # keep the object path.  All produce identical requests in
-        # identical order.  Workloads exposing the array protocol skip
-        # Demand materialization entirely (steps 1+2 fused on arrays);
-        # the protocol guarantees the same arrivals from the same random
-        # stream as the object path, so the choice is digest-neutral.
-        batched_scheduler = type(self._scheduler) is PreloadingScheduler and not (
-            self._scheduler.skip_locally_stored
+        box_ids, video_ids = self._arrivals_for_round(workload, view)
+        demand_indices, demand_boxes, demand_videos = self._accept_demand_arrays(
+            box_ids, video_ids, time
         )
-        demand_arrays = None
-        if batched_scheduler and not self._full_trace and self._plan is None:
-            supplier = getattr(workload, "demand_arrays_for_round", None)
-            if supplier is not None:
-                demand_arrays = supplier(view)
-        if demand_arrays is not None:
-            # 1+2. Demand arrivals and request generation, array path.
-            demand_indices, demand_boxes, demand_videos = self._accept_demand_arrays(
-                demand_arrays[0], demand_arrays[1], time
-            )
-            self._metrics.record_demands(int(demand_indices.size))
+        self._metrics.record_demands(int(demand_indices.size))
+        # 2. Request generation (preload now, postponed queued earlier).
+        if type(self._scheduler) is PreloadingScheduler:
             new_request_count = self._generate_requests_arrays(
                 demand_videos, demand_boxes, demand_indices, time
             )
         else:
-            # 1. Demand arrivals.
-            demands = workload.demands_for_round(view)
-            accepted = self._accept_demands(demands, time)
-            self._metrics.record_demands(len(accepted))
-            # 2. Request generation (preload now, postponed queued earlier).
-            if batched_scheduler:
-                new_request_count = self._generate_requests_batched(accepted, time)
-            else:
-                new_request_count = self._generate_requests_objects(accepted, time)
+            accepted = [
+                (index, Demand(time=time, box_id=box, video_id=video))
+                for index, box, video in zip(
+                    demand_indices.tolist(),
+                    demand_boxes.tolist(),
+                    demand_videos.tolist(),
+                )
+            ]
+            new_request_count = self._generate_requests_objects(accepted, time)
         self._metrics.record_requests(new_request_count)
 
         # 3. Connection matching over all active requests.  Offline boxes
@@ -537,7 +523,7 @@ class VodSimulator:
         delta = None
         if (
             warm is not None
-            and getattr(self, "_incremental_matching", True)
+            and self._incremental_matching
             and isinstance(self._matcher, ConnectionMatcher)
         ):
             delta = MatchDelta(
@@ -567,9 +553,7 @@ class VodSimulator:
             getattr(matching, "repair_fallback", False)
         )
         if self._last_round_repair_fallback:
-            self._repair_fallback_rounds = (
-                getattr(self, "_repair_fallback_rounds", 0) + 1
-            )
+            self._repair_fallback_rounds += 1
         self._pool.apply_matching(matching.assignment, time)
 
         if self._record_connections:
@@ -632,15 +616,6 @@ class VodSimulator:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _generate_requests_batched(
-        self, accepted: List[Tuple[int, Demand]], time: int
-    ) -> int:
-        """Array-path request generation (plain preloading scheduler)."""
-        pre_stripes, pre_boxes, pre_demand = self._scheduler.on_demands_batch(accepted)
-        return self._finish_request_generation(
-            pre_stripes, pre_boxes, pre_demand, time
-        )
-
     def _generate_requests_arrays(
         self,
         video_ids: np.ndarray,
@@ -648,25 +623,18 @@ class VodSimulator:
         demand_indices: np.ndarray,
         time: int,
     ) -> int:
-        """Request generation from accepted-demand arrays (no Demand objects)."""
+        """Request generation of the preloading strategy, on arrays.
+
+        Issues the accepted arrivals' preloading requests and pops the
+        postponed requests queued for ``time``; both enter the pool and
+        the possession index's playback caches.
+        """
         pre_stripes, pre_boxes, pre_demand = self._scheduler.on_demand_arrays(
             video_ids, box_ids, demand_indices, time
         )
-        return self._finish_request_generation(
-            pre_stripes, pre_boxes, pre_demand, time
-        )
-
-    def _finish_request_generation(
-        self,
-        pre_stripes: np.ndarray,
-        pre_boxes: np.ndarray,
-        pre_demand: np.ndarray,
-        time: int,
-    ) -> int:
-        """Shared tail of the batched request paths: postponed pops + pool."""
         post_stripes, post_boxes, post_demand = self._scheduler.due_arrays(time)
         if post_demand.size and (post_demand < 0).any():
-            # Blocks queued through the scheduler's object API carry no
+            # Blocks queued through the scheduler's ``on_demand`` carry no
             # demand index; resolve them against the demand log.
             post_demand = post_demand.copy()
             for k in np.flatnonzero(post_demand < 0).tolist():
@@ -723,74 +691,69 @@ class VodSimulator:
                 )
         return len(new_requests)
 
-    def _append_demand(self, demand: Demand) -> int:
-        """Append one accepted demand to the struct-of-arrays demand log."""
-        ensure_column_capacity(
-            self,
-            ("_demand_time", "_demand_box", "_demand_video", "_demand_started"),
-            self._demand_count,
-            self._demand_count + 1,
-        )
-        index = self._demand_count
-        self._demand_time[index] = demand.time
-        self._demand_box[index] = demand.box_id
-        self._demand_video[index] = demand.video_id
-        self._demand_started[index] = False
-        self._demand_count = index + 1
-        return index
+    def _arrivals_for_round(
+        self, workload: DemandGenerator, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The round's arrivals as validated ``(box_ids, video_ids)`` arrays.
 
-    def _accept_demands(
-        self, demands: Sequence[Demand], time: int
-    ) -> List[Tuple[int, Demand]]:
-        accepted: List[Tuple[int, Demand]] = []
-        for demand in demands:
-            if demand.time != time:
+        Workloads exposing ``demand_arrays_for_round`` supply the arrays
+        directly; one returning ``None`` (or lacking the method) falls
+        back to ``demands_for_round``, whose demands are converted here.
+        Both protocols draw the same arrivals from the same random stream,
+        so the choice never changes a run.
+        """
+        time = view.time
+        supplier = getattr(workload, "demand_arrays_for_round", None)
+        arrays = supplier(view) if supplier is not None else None
+        if arrays is None:
+            demands = workload.demands_for_round(view)
+            for demand in demands:
+                if demand.time != time:
+                    raise ValueError(
+                        f"workload produced a demand for round {demand.time} "
+                        f"during round {time}"
+                    )
+            arrays = (
+                np.array([d.box_id for d in demands], dtype=np.int64),
+                np.array([d.video_id for d in demands], dtype=np.int64),
+            )
+        box_ids = np.asarray(arrays[0], dtype=np.int64)
+        video_ids = np.asarray(arrays[1], dtype=np.int64)
+        if box_ids.shape != video_ids.shape or box_ids.ndim != 1:
+            raise ValueError(
+                f"round {time}: workload produced {box_ids.size} box ids but "
+                f"{video_ids.size} video ids"
+            )
+        if box_ids.size:
+            n = self._busy_until.size
+            bad_box = (box_ids < 0) | (box_ids >= n)
+            if bad_box.any():
                 raise ValueError(
-                    f"workload produced a demand for round {demand.time} during round {time}"
+                    f"round {time}: demand from box {int(box_ids[bad_box][0])} "
+                    f"outside population of size {n}"
                 )
-            if demand.video_id >= self._catalog.num_videos:
+            m = self._catalog.num_videos
+            bad_video = (video_ids < 0) | (video_ids >= m)
+            if bad_video.any():
                 raise ValueError(
-                    f"demand for video {demand.video_id} outside catalog of size "
-                    f"{self._catalog.num_videos}"
+                    f"round {time}: demand for video {int(video_ids[bad_video][0])} "
+                    f"outside catalog of size {m}"
                 )
-            if self._busy_until[demand.box_id] > time:
-                self._rejected_demands += 1
-                continue
-            demand_index = self._append_demand(demand)
-            self._demand_last[(demand.box_id, demand.video_id)] = demand_index
-            if self._plan is not None:
-                relay = self._plan.relay(demand.box_id)
-                if relay is not None:
-                    self._demand_last_relay[(relay, demand.video_id)] = demand_index
-            self._busy_until[demand.box_id] = time + self._catalog.duration
-            self._swarms.enter(demand.video_id, demand.box_id, time)
-            if self._full_trace:
-                self._trace.record(
-                    DemandEvent(time=time, box_id=demand.box_id, video_id=demand.video_id)
-                )
-            accepted.append((demand_index, demand))
-        return accepted
+        return box_ids, video_ids
 
     def _accept_demand_arrays(
         self, box_ids: np.ndarray, video_ids: np.ndarray, time: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-path :meth:`_accept_demands` over one round's arrivals.
+        """Admit one round's arrivals (validated by :meth:`_arrivals_for_round`).
 
-        Applies the same admission rule (busy boxes rejected; a box's
-        second demand in one round rejected because the first made it
-        busy) and the same side effects — demand log, last-demand map,
-        busy horizon, swarm entries with growth-bound checks — as the
-        object path.  Returns ``(demand_indices, box_ids, video_ids)`` of
-        the accepted arrivals, in arrival order.  Callers gate on lean
-        trace and ``plan is None``.
+        Busy boxes are rejected, and so is a box's second demand in one
+        round (the first made it busy).  Accepted arrivals enter the
+        demand log, the last-demand maps, the busy horizons, the swarms
+        (with growth-bound checks) and, under a full trace, the event
+        trace.  Returns ``(demand_indices, box_ids, video_ids)`` of the
+        accepted arrivals, in arrival order.
         """
         n = int(box_ids.size)
-        if n and int(video_ids.max()) >= self._catalog.num_videos:
-            bad = int(video_ids[video_ids >= self._catalog.num_videos][0])
-            raise ValueError(
-                f"demand for video {bad} outside catalog of size "
-                f"{self._catalog.num_videos}"
-            )
         accept = admission_mask(self._busy_until, box_ids, time)
         kept = int(accept.sum())
         self._rejected_demands += n - kept
@@ -813,11 +776,20 @@ class VodSimulator:
         self._demand_video[lo:hi] = videos
         self._demand_started[lo:hi] = False
         self._demand_count = hi
+        pairs = list(zip(boxes.tolist(), videos.tolist()))
         demand_last = self._demand_last
-        for offset, key in enumerate(zip(boxes.tolist(), videos.tolist())):
+        for offset, key in enumerate(pairs):
             demand_last[key] = lo + offset
+        if self._plan is not None:
+            for offset, (box, video) in enumerate(pairs):
+                relay = self._plan.relay(box)
+                if relay is not None:
+                    self._demand_last_relay[(relay, video)] = lo + offset
         self._busy_until[boxes] = time + self._catalog.duration
         self._swarms.enter_batch(videos, boxes, time)
+        if self._full_trace:
+            for box, video in pairs:
+                self._trace.record(DemandEvent(time=time, box_id=box, video_id=video))
         return np.arange(lo, hi, dtype=np.int64), boxes, videos
 
     def _find_demand_index(self, box_id: int, stripe_id: int, time: int) -> Optional[int]:

@@ -71,13 +71,16 @@ class _VideoSwarm:
         self.boxes, self.times, self.sorted = state
         self.size = self.boxes.size
 
-    def append(self, box: int, time: int) -> None:
-        ensure_column_capacity(self, ("boxes", "times"), self.size, self.size + 1)
-        if self.size and time < self.times[self.size - 1]:
+    def extend(self, boxes: np.ndarray, time: int) -> None:
+        """Append ``boxes``, all entering at round ``time``."""
+        size = self.size
+        k = int(boxes.size)
+        ensure_column_capacity(self, ("boxes", "times"), size, size + k)
+        if size and time < self.times[size - 1]:
             self.sorted = False
-        self.boxes[self.size] = box
-        self.times[self.size] = time
-        self.size += 1
+        self.boxes[size : size + k] = boxes
+        self.times[size : size + k] = time
+        self.size = size + k
 
     def window(self, lo_exclusive: int, hi_inclusive: int) -> np.ndarray:
         """Boxes whose entry time lies in ``(lo_exclusive, hi_inclusive]``."""
@@ -118,10 +121,10 @@ class SwarmRegistry:
         # Size history: video_id -> {round: size at end of round}
         self._history: Dict[int, Dict[int, int]] = {}
         self._violations: List[SwarmGrowthViolation] = []
-        # Rolling size cache for the batched entry path: live sizes as of
-        # round ``_cache_time`` plus per-round arrival counts (to expire
-        # entries leaving the duration window without re-counting entry
-        # logs).  The unbatched ``enter`` bypasses and invalidates it;
+        # Rolling size cache of ``enter_batch``: live sizes as of round
+        # ``_cache_time`` plus per-round arrival counts (to expire entries
+        # leaving the duration window without re-counting entry logs).  An
+        # entry dated before ``_cache_time`` invalidates it for good;
         # ``enter_batch`` then falls back to counting the entry logs.
         self._size_cache: Dict[int, int] = {}
         self._round_adds: Dict[int, Dict[int, int]] = {}
@@ -130,8 +133,8 @@ class SwarmRegistry:
         # Entry blocks accepted by ``enter_batch`` but not yet written to
         # the per-video logs / size history, as ``(time, videos, boxes,
         # unique_videos, final_sizes)`` with videos/boxes grouped by video.
-        # Lean runs never query individual swarms, so the grouping work is
-        # deferred until something does.
+        # The engine itself never queries individual swarms, so the
+        # grouping work is deferred until something (a workload) does.
         self._pending_entries: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     @property
@@ -148,10 +151,9 @@ class SwarmRegistry:
         """Write deferred ``enter_batch`` blocks to the per-video logs.
 
         Blocks keep chronological order, so the logs end up exactly as if
-        every entry had been appended eagerly.  ``getattr`` tolerates
-        registries unpickled from snapshots predating the deferred log.
+        every entry had been appended eagerly.
         """
-        pending = getattr(self, "_pending_entries", None)
+        pending = self._pending_entries
         if not pending:
             return
         self._pending_entries = []
@@ -166,13 +168,7 @@ class SwarmRegistry:
                 swarm = self._swarms.get(vid)
                 if swarm is None:
                     swarm = self._swarms[vid] = _VideoSwarm()
-                size = swarm.size
-                ensure_column_capacity(swarm, ("boxes", "times"), size, size + hi - lo)
-                if size and time < swarm.times[size - 1]:
-                    swarm.sorted = False
-                swarm.boxes[size : size + hi - lo] = boxes[lo:hi]
-                swarm.times[size : size + hi - lo] = time
-                swarm.size = size + hi - lo
+                swarm.extend(boxes[lo:hi], time)
                 self._history.setdefault(vid, {})[time] = int(final_sizes[j])
 
     def size(self, video_id: int, time: int) -> int:
@@ -197,40 +193,23 @@ class SwarmRegistry:
 
         Checks the growth bound against the size at round ``time − 1`` and
         records a violation (without raising) when it is exceeded; the
-        engine surfaces violations in its result.
+        engine surfaces violations in its result.  A one-entry
+        :meth:`enter_batch`.
         """
-        video_id = int(video_id)
-        self._cache_valid = False
-        self._flush_entries()
-        previous = self.size(video_id, time - 1) if time > 0 else 0
-        swarm = self._swarms.get(video_id)
-        if swarm is None:
-            swarm = self._swarms[video_id] = _VideoSwarm()
-        swarm.append(int(box_id), int(time))
-        new_size = self.size(video_id, time)
-        allowed = math.ceil(max(previous, 1) * self._mu)
-        if new_size > allowed:
-            self._violations.append(
-                SwarmGrowthViolation(
-                    video_id=video_id,
-                    time=int(time),
-                    previous_size=previous,
-                    new_size=new_size,
-                    allowed_size=allowed,
-                )
-            )
-        self._history.setdefault(video_id, {})[int(time)] = new_size
+        self.enter_batch(
+            np.array([video_id], dtype=np.int64), np.array([box_id], dtype=np.int64), time
+        )
 
     def enter_batch(
         self, video_ids: np.ndarray, box_ids: np.ndarray, time: int
     ) -> None:
-        """Batched :meth:`enter` over one round's arrivals (hot path).
+        """Record one round's swarm entries (the engine's only entry path).
 
-        Records the same swarm entries, growth-bound violations (in the
-        same arrival order, with the same per-entry sizes) and size
-        history as calling :meth:`enter` per ``(video, box)`` pair, but
-        touches each video's entry log once instead of once per arrival.
-        All entries share the arrival round ``time``.
+        Entries are processed in arrival order: the growth-bound
+        violations, per-entry sizes and size history are those of entering
+        each ``(video, box)`` pair one at a time, but each video's entry
+        log is touched once per call.  All entries share the arrival round
+        ``time``.
         """
         n = int(video_ids.size)
         if n == 0:
@@ -250,12 +229,9 @@ class SwarmRegistry:
         sorted_boxes = box_ids[order]
 
         # Size queries: O(1) against the rolling cache when it is live,
-        # entry-log counting otherwise (after unbatched enter() calls or
-        # restores from pre-cache snapshots).
+        # entry-log counting otherwise (after an out-of-order entry).
         duration = self._duration
-        cache_live = (
-            getattr(self, "_cache_valid", False) and self._cache_time <= time
-        )
+        cache_live = self._cache_valid and self._cache_time <= time
         if not cache_live:
             self._cache_valid = False
             self._flush_entries()
@@ -269,13 +245,7 @@ class SwarmRegistry:
                 )
                 base[j] = swarm.count(time - duration, time)
                 lo = int(start_pos[j])
-                size = swarm.size
-                ensure_column_capacity(swarm, ("boxes", "times"), size, size + k)
-                if size and time < swarm.times[size - 1]:
-                    swarm.sorted = False
-                swarm.boxes[size : size + k] = sorted_boxes[lo : lo + k]
-                swarm.times[size : size + k] = time
-                swarm.size = size + k
+                swarm.extend(sorted_boxes[lo : lo + k], time)
                 self._history.setdefault(vid, {})[time] = int(base[j]) + k
         else:
             sizes = self._size_cache
@@ -307,8 +277,8 @@ class SwarmRegistry:
                 base[j] = before
                 sizes[vid] = before + k
                 this_adds[vid] = this_adds.get(vid, 0) + k
-            # Log writes and size history are deferred: nothing reads them
-            # inside a lean engine round.
+            # Log writes and size history are deferred: the engine's round
+            # never reads them.
             self._pending_entries.append(
                 (time, sorted_videos, sorted_boxes, unique_videos, base + counts)
             )

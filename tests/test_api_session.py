@@ -322,7 +322,7 @@ def test_add_videos_precondition_failure_leaves_engine_untouched():
         # Implements exactly the RequestScheduler protocol, nothing more.
         start_up_delay = 1
 
-        def on_demand(self, demand, locally_stored=None):
+        def on_demand(self, demand):
             return []
 
         def requests_due(self, time):

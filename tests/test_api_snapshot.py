@@ -139,10 +139,10 @@ class TestSnapshotFormatVersioning:
 
     FIXTURE_V1 = Path(__file__).parent / "fixtures" / "session_snapshot_v1.bin"
 
-    def test_current_format_version_is_2(self):
+    def test_current_format_version_is_3(self):
         from repro.api.session import SNAPSHOT_FORMAT_VERSION
 
-        assert SNAPSHOT_FORMAT_VERSION == 2
+        assert SNAPSHOT_FORMAT_VERSION == 3
 
     def test_loading_a_v1_fixture_raises_a_typed_error(self):
         from repro.api import SessionSnapshot, SnapshotFormatError
@@ -159,6 +159,26 @@ class TestSnapshotFormatVersioning:
         )
         with pytest.raises(SnapshotFormatError, match="re-record"):
             VodSession.restore(stale)
+
+    def test_version_2_snapshots_are_refused(self, tmp_path):
+        """Version 2 pickled the scheduler's old demand log; it must not load."""
+        from repro.api import SessionSnapshot, SnapshotFormatError, VodSession
+
+        session = _session_for("steady_state", "hopcroft_karp", 6)
+        session.step_until(rounds=2)
+        current = session.snapshot()
+        v2 = SessionSnapshot(
+            payload=current.payload,
+            time=current.time,
+            rounds_completed=current.rounds_completed,
+            format_version=2,
+            payload_sha256=current.payload_sha256,
+        )
+        with pytest.raises(SnapshotFormatError, match="format version 2"):
+            VodSession.restore(v2)
+        path = v2.to_file(tmp_path / "v2.ckpt")
+        with pytest.raises(SnapshotFormatError, match="format version 2"):
+            SessionSnapshot.from_file(path)
 
     def test_snapshot_format_error_is_an_api_error(self):
         from repro.api import ApiError, SnapshotFormatError

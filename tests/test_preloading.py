@@ -1,6 +1,9 @@
 """Tests for the preloading request strategy (Section 3)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.preloading import START_UP_DELAY_ROUNDS, Demand, PreloadingScheduler
 from repro.core.video import Catalog
@@ -80,25 +83,6 @@ class TestPreloadingScheduler:
             catalog.stripes_of_video(3).tolist()
         )
 
-    def test_skip_locally_stored(self, catalog):
-        scheduler = PreloadingScheduler(catalog, skip_locally_stored=True)
-        local = {int(catalog.stripe_id(1, 0)), int(catalog.stripe_id(1, 2))}
-        immediate = scheduler.on_demand(
-            Demand(time=0, box_id=0, video_id=1), locally_stored=local
-        )
-        postponed = scheduler.requests_due(1)
-        requested = {r.stripe_id for r in immediate + postponed}
-        assert requested == set(catalog.stripes_of_video(1).tolist()) - local
-
-    def test_skip_local_disabled_by_default(self, catalog):
-        scheduler = PreloadingScheduler(catalog)
-        local = {int(catalog.stripe_id(1, 0))}
-        immediate = scheduler.on_demand(
-            Demand(time=0, box_id=0, video_id=1), locally_stored=local
-        )
-        postponed = scheduler.requests_due(1)
-        assert len(immediate) + len(postponed) == catalog.num_stripes_per_video
-
     def test_start_up_delay_constant(self, catalog):
         scheduler = PreloadingScheduler(catalog)
         assert scheduler.start_up_delay == START_UP_DELAY_ROUNDS == 3
@@ -120,3 +104,92 @@ class TestPreloadingScheduler:
         scheduler = PreloadingScheduler(catalog)
         with pytest.raises(ValueError):
             scheduler.on_demand(Demand(time=0, box_id=0, video_id=99))
+
+
+# ---------------------------------------------------------------------- #
+# Every entry point against a scalar reference of the rotation
+# ---------------------------------------------------------------------- #
+class ReferenceRotation:
+    """Scalar, one-demand-at-a-time statement of the Section 3 rotation.
+
+    The ``p``-th box entering a video's swarm preloads stripe ``p mod c``
+    now and queues the other ``c − 1`` stripes, in stripe order, for the
+    next round.
+    """
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self.counter = {}
+        self.pending = {}
+        self.seen = []
+
+    def on_demand(self, demand, demand_index):
+        c = self.catalog.num_stripes_per_video
+        entry = self.counter.get(demand.video_id, 0)
+        self.counter[demand.video_id] = entry + 1
+        self.seen.append(demand)
+        preload_index = entry % c
+        for index in range(c):
+            if index != preload_index:
+                self.pending.setdefault(demand.time + 1, []).append(
+                    (self.catalog.stripe_id(demand.video_id, index), demand.box_id, demand_index)
+                )
+        return self.catalog.stripe_id(demand.video_id, preload_index)
+
+
+ENTRY_POINTS = ("on_demand_arrays", "on_demands_batch", "on_demand")
+
+round_arrivals = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 3)), min_size=0, max_size=8
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    c=st.sampled_from([1, 2, 4]),
+    rounds=st.lists(
+        st.tuples(round_arrivals, st.sampled_from(ENTRY_POINTS)), min_size=1, max_size=6
+    ),
+)
+def test_every_entry_point_matches_the_scalar_rotation(c, rounds):
+    """Entry points may be mixed round by round; each demand index is kept."""
+    catalog = Catalog(num_videos=4, num_stripes=c, duration=10)
+    scheduler = PreloadingScheduler(catalog)
+    reference = ReferenceRotation(catalog)
+    next_index = 0
+    for time, (arrivals, entry_point) in enumerate(rounds):
+        demands = [Demand(time=time, box_id=b, video_id=v) for b, v in arrivals]
+        indices = list(range(next_index, next_index + len(demands)))
+        next_index += len(demands)
+        if entry_point == "on_demand":
+            indices = [-1] * len(demands)  # on_demand carries no demand index
+            got = [scheduler.on_demand(d)[0].stripe_id for d in demands]
+        elif entry_point == "on_demands_batch":
+            got = scheduler.on_demands_batch(list(zip(indices, demands)))[0].tolist()
+        else:
+            got = scheduler.on_demand_arrays(
+                np.array([v for _, v in arrivals], dtype=np.int64),
+                np.array([b for b, _ in arrivals], dtype=np.int64),
+                np.array(indices, dtype=np.int64),
+                time,
+            )[0].tolist()
+        expected = [reference.on_demand(d, i) for d, i in zip(demands, indices)]
+        assert got == expected
+        stripes, boxes, demand_indices = scheduler.due_arrays(time)
+        assert list(zip(stripes.tolist(), boxes.tolist(), demand_indices.tolist())) == (
+            reference.pending.pop(time, [])
+        )
+    assert scheduler.demands_seen == tuple(reference.seen)
+    for video in range(catalog.num_videos):
+        assert scheduler.swarm_entry_count(video) == reference.counter.get(video, 0)
+    last = len(rounds)
+    stripes, boxes, demand_indices = scheduler.due_arrays(last)
+    assert list(zip(stripes.tolist(), boxes.tolist(), demand_indices.tolist())) == (
+        reference.pending.pop(last, [])
+    )
+    assert scheduler.pending_rounds() == ()
